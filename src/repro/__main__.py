@@ -105,7 +105,7 @@ def _resilience_overrides(args: argparse.Namespace) -> dict:
 
 
 def _spec_from_args(args: argparse.Namespace, **search_overrides) -> ExperimentSpec:
-    """The spec an ``optimize``/``search`` invocation denotes.
+    """The spec an ``optimize``/``search``/``spec`` invocation denotes.
 
     Raises :class:`SpecError` — the single validation point for every
     flag combination, before any expensive work starts.
@@ -126,7 +126,10 @@ def _spec_from_args(args: argparse.Namespace, **search_overrides) -> ExperimentS
         ),
         geometry=GeometrySpec(cache_bytes=args.cache_kb * 1024),
         search=SearchSpec(**search),
-        execution=ExecutionSpec(cache_dir=getattr(args, "cache_dir", None)),
+        execution=ExecutionSpec(
+            workers=getattr(args, "workers", None),
+            cache_dir=getattr(args, "cache_dir", None),
+        ),
     )
 
 
@@ -332,20 +335,7 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 def cmd_spec(args: argparse.Namespace) -> int:
     try:
-        spec = ExperimentSpec(
-            trace=TraceSpec(
-                suite=args.suite, benchmark=args.benchmark, kind=args.kind,
-                scale=args.scale, seed=args.seed,
-            ),
-            geometry=GeometrySpec(cache_bytes=args.cache_kb * 1024),
-            search=SearchSpec(
-                family=args.family, strategy=args.strategy,
-                restarts=args.restarts, guard=args.guard,
-            ),
-            execution=ExecutionSpec(
-                workers=args.workers, cache_dir=args.cache_dir
-            ),
-        )
+        spec = _spec_from_args(args)
     except SpecError as error:
         return _fail(error)
     text = spec.to_toml(
@@ -552,7 +542,7 @@ def build_parser() -> argparse.ArgumentParser:
         "spec", help="scaffold an experiment-spec file from flags"
     )
     p_spec.add_argument("--suite", choices=sorted(SUITES), default="mibench")
-    p_spec.add_argument("--benchmark", default="fft")
+    p_spec.add_argument("--benchmark", dest="name", metavar="BENCHMARK", default="fft")
     p_spec.add_argument("--kind", choices=TRACE_KINDS, default="data")
     p_spec.add_argument("--scale", choices=SCALES, default="small")
     p_spec.add_argument("--cache-kb", type=int, default=4)

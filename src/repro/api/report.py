@@ -28,10 +28,11 @@ must bump :data:`REPORT_SCHEMA`.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import TYPE_CHECKING, Any, Mapping
 
 from repro.api.errors import SpecError
-from repro.api.spec import ExperimentSpec
+from repro.api.spec import ExecutionSpec, ExperimentSpec
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.optimizer import OptimizationResult
@@ -282,10 +283,13 @@ def search_report(spec: ExperimentSpec, front) -> dict[str, Any]:
 # -- campaigns --------------------------------------------------------------
 
 def row_report(row: "CampaignRow") -> dict[str, Any]:
-    """The per-row payload inside a campaign report (spec echoed)."""
-    from repro.api.session import task_to_spec
+    """The per-row payload inside a campaign report.
 
-    spec = task_to_spec(row.task, search_seed=row.search_seed)
+    The row's spec is echoed with the seed that ran and a default
+    ``execution`` table: execution settings are the campaign's, not the
+    cell's, so they stay out of the replayable row.
+    """
+    spec = replace(row.spec, execution=ExecutionSpec())
     payload = {
         "spec": spec.to_dict(),
         "digests": {"spec": spec.digest},
@@ -308,19 +312,16 @@ def row_report(row: "CampaignRow") -> dict[str, Any]:
 
 
 def row_from_report(payload: Mapping[str, Any]) -> "CampaignRow":
-    from repro.api.session import spec_to_task
     from repro.pipeline.campaign import CampaignRow
 
-    spec = ExperimentSpec.from_dict(payload["spec"])
     return CampaignRow(
-        task=spec_to_task(spec),
+        spec=ExperimentSpec.from_dict(payload["spec"]),
         base_misses=int(payload["base_misses"]),
         optimized_misses=int(payload["optimized_misses"]),
         base_misses_per_kuop=float(payload["base_misses_per_kuop"]),
         removed_percent=float(payload["removed_percent"]),
         accesses=int(payload["accesses"]),
         uops=int(payload["uops"]),
-        search_seed=int(payload["search_seed"]),
         seconds=float(payload["seconds"]),
         status=payload.get("status", "ok"),
         error=payload.get("error"),

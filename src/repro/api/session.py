@@ -8,23 +8,24 @@ worker count — and consumes declarative :class:`ExperimentSpec`\\ s:
   :class:`~repro.core.optimizer.OptimizationResult` with the spec
   attached, so ``result.to_json()`` is a complete replayable report;
 * :meth:`Session.campaign` runs a list of specs through the parallel
-  campaign runner, every task reading and writing the session's
+  campaign runner, every cell reading and writing the session's
   artifact cache;
 * :meth:`Session.sweep` expands a grid dictionary into the spec
-  cross-product and runs it as a campaign.
+  cross-product (:func:`expand_grid`) and runs it as a campaign.
 
-This subsumes the older kwarg surfaces: ``optimize_for_trace`` with its
-eleven keywords, ``build_grid``/``run_campaign``, and the ambient
-``PipelineContext`` contextvar all remain available (the Session is
+Both paths execute a spec through one function, :func:`run_spec`, so a
+campaign cell computes exactly what :meth:`Session.optimize` computes
+for the same spec.  The older kwarg surfaces — ``optimize_for_trace``
+with its keywords, ``run_campaign`` and the ambient
+``PipelineContext`` contextvar — remain available (the Session is
 built on them), but a spec plus a session expresses the same runs
 declaratively and serializably.
 """
 
 from __future__ import annotations
 
-from dataclasses import replace
 from pathlib import Path
-from typing import Any, Iterable, Mapping
+from typing import TYPE_CHECKING, Any, Iterable, Mapping
 
 from repro.api.errors import SpecError
 from repro.api.spec import (
@@ -34,78 +35,56 @@ from repro.api.spec import (
     SearchSpec,
     TraceSpec,
 )
-from repro.pipeline.campaign import CampaignResult, CampaignTask, run_campaign
+from repro.pipeline.campaign import CampaignResult, run_campaign
 from repro.pipeline.context import PipelineContext
 
-__all__ = ["Session", "spec_to_task", "task_to_spec", "expand_grid"]
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.core.optimizer import OptimizationResult
+    from repro.trace.trace import Trace
+
+__all__ = ["Session", "expand_grid", "run_spec"]
 
 SpecLike = ExperimentSpec | Mapping | str | Path
 
 
-def spec_to_task(spec: ExperimentSpec) -> CampaignTask:
-    """The campaign-grid cell equivalent of a spec.
+def run_spec(
+    spec: ExperimentSpec, trace: "Trace", context: PipelineContext
+) -> "OptimizationResult":
+    """Run one spec end to end through ``context``'s artifact cache.
 
-    The task pins ``search_seed`` to the spec's seed, so running a spec
-    inside a campaign produces (and caches) exactly the artifacts
-    :meth:`Session.optimize` would for the same spec.
+    The single execution path behind :meth:`Session.optimize` and every
+    campaign cell: runs the optimizer on the spec's geometry and family
+    under its ``execution.backend``, and returns the result with the
+    spec, trace digest, backend and any kernel degradation warnings
+    attached.  ``trace`` is ``spec.trace.resolve()``; callers pass it in
+    because they need it too, and a file-backed trace then loads and
+    digests only once.
     """
-    if spec.trace.path is not None:
-        raise SpecError(
-            "file-backed traces run through Session.optimize / "
-            "Session.profile; campaign grids are registry-workload cells",
-            field="trace.path",
+    from repro.backend import degradation_events, use_backend
+    from repro.core.optimizer import optimize_for_trace
+
+    geometry = spec.geometry.resolve()
+    seen_degradations = len(degradation_events())
+    with use_backend(spec.execution.backend) as backend:
+        result = optimize_for_trace(
+            trace,
+            geometry,
+            family=spec.search.resolve_family(geometry.index_bits),
+            n=spec.search.n,
+            guard=spec.search.guard,
+            restarts=spec.search.restarts,
+            seed=spec.search.seed,
+            max_steps=spec.search.max_steps,
+            context=context,
+            strategy=spec.search.strategy,
         )
-    return CampaignTask(
-        suite=spec.trace.suite,
-        benchmark=spec.trace.benchmark,
-        kind=spec.trace.kind,
-        scale=spec.trace.scale,
-        cache_bytes=spec.geometry.cache_bytes,
-        block_size=spec.geometry.block_size,
-        associativity=spec.geometry.associativity,
-        family=spec.search.family,
-        n=spec.search.n,
-        workload_seed=spec.trace.seed,
-        guard=spec.search.guard,
-        restarts=spec.search.restarts,
-        max_steps=spec.search.max_steps,
-        strategy=spec.search.strategy,
-        search_seed=spec.search.seed,
-    )
-
-
-def task_to_spec(task: CampaignTask, search_seed: int | None = None) -> ExperimentSpec:
-    """The spec a campaign task denotes.
-
-    ``search_seed`` is the seed the run actually used (tasks without a
-    pinned seed derive one from the campaign's base seed); passing it
-    makes the spec an exact replay of the row it came from.
-    """
-    if search_seed is None:
-        search_seed = task.search_seed if task.search_seed is not None else 0
-    return ExperimentSpec(
-        trace=TraceSpec(
-            suite=task.suite,
-            benchmark=task.benchmark,
-            kind=task.kind,
-            scale=task.scale,
-            seed=task.workload_seed,
-        ),
-        geometry=GeometrySpec(
-            cache_bytes=task.cache_bytes,
-            block_size=task.block_size,
-            associativity=task.associativity,
-        ),
-        search=SearchSpec(
-            family=task.family,
-            strategy=task.strategy,
-            n=task.n,
-            restarts=task.restarts,
-            seed=search_seed,
-            guard=task.guard,
-            max_steps=task.max_steps,
-        ),
-    )
+    result.spec = spec
+    result.trace_digest = trace.digest
+    result.backend = backend.name
+    # Kernel degradations during this run (e.g. a JIT failure that fell
+    # back to NumPy) surface in the report's environment.
+    result.warnings = list(degradation_events()[seen_degradations:])
+    return result
 
 
 #: Grid keys :func:`expand_grid` sweeps over (lists) or fixes (scalars).
@@ -370,12 +349,13 @@ class Session:
         per-shard execution statistics.
         """
         spec = ExperimentSpec.coerce(spec)
-        trace = spec.trace.resolve()
-        geometry = spec.geometry.resolve()
+        return self._profile(spec, spec.trace.resolve())
+
+    def _profile(self, spec: ExperimentSpec, trace: "Trace"):
         context = self.context(self._effective_cache_dir(spec.execution))
         return context.profile(
             trace,
-            geometry,
+            spec.geometry.resolve(),
             spec.search.n,
             shard_size=spec.execution.shard_size,
             workers=self._effective_workers(spec.execution),
@@ -384,7 +364,7 @@ class Session:
             on_error=spec.execution.on_error,
         )
 
-    def optimize(self, spec: SpecLike):
+    def optimize(self, spec: SpecLike) -> "OptimizationResult":
         """Run one experiment spec end to end.
 
         Accepts a spec object, a spec dictionary, or a path to a
@@ -392,49 +372,15 @@ class Session:
         :class:`~repro.core.optimizer.OptimizationResult` with the spec
         attached (``result.spec``), so ``result.to_json()`` embeds it.
         """
-        from repro.backend import degradation_events, use_backend
-        from repro.core.optimizer import optimize_for_trace
-
         spec = ExperimentSpec.coerce(spec)
         trace = spec.trace.resolve()
-        geometry = spec.geometry.resolve()
-        family = spec.search.resolve_family(geometry.index_bits)
-        context = self.context(self._effective_cache_dir(spec.execution))
         if spec.execution.shard_size is not None:
             # Pre-warm the profile through the sharded out-of-core
             # driver (bit-identical to the single pass); the optimizer
             # then finds it memoized under the standard key.
-            context.profile(
-                trace,
-                geometry,
-                spec.search.n,
-                shard_size=spec.execution.shard_size,
-                workers=self._effective_workers(spec.execution),
-                retries=spec.execution.retries,
-                task_timeout=spec.execution.task_timeout,
-                on_error=spec.execution.on_error,
-            )
-        seen_degradations = len(degradation_events())
-        with use_backend(spec.execution.backend) as backend:
-            result = optimize_for_trace(
-                trace,
-                geometry,
-                family=family,
-                n=spec.search.n,
-                guard=spec.search.guard,
-                restarts=spec.search.restarts,
-                seed=spec.search.seed,
-                max_steps=spec.search.max_steps,
-                context=context,
-                strategy=spec.search.strategy,
-            )
-        result.spec = spec
-        result.trace_digest = trace.digest
-        result.backend = backend.name
-        # Kernel degradations during this run (e.g. a JIT failure that
-        # fell back to NumPy) surface in the report's environment.
-        result.warnings = list(degradation_events()[seen_degradations:])
-        return result
+            self._profile(spec, trace)
+        context = self.context(self._effective_cache_dir(spec.execution))
+        return run_spec(spec, trace, context)
 
     def campaign(
         self,
@@ -445,10 +391,10 @@ class Session:
     ) -> CampaignResult:
         """Run many specs through the parallel campaign runner.
 
-        By default every spec's search seed is pinned into its task, so
-        results (and cached artifacts) are identical to running each
-        spec through :meth:`optimize` — the campaign only changes *how*
-        the work executes, never what it computes.  With
+        By default every spec runs with its own search seed, so results
+        (and cached artifacts) are identical to running each spec
+        through :meth:`optimize` — the campaign only changes *how* the
+        work executes, never what it computes.  With
         ``derive_seeds=True`` each cell instead derives a distinct seed
         from its identity and ``base_seed`` (classic grid semantics:
         independent of worker count and scheduling, different per
@@ -456,14 +402,11 @@ class Session:
         """
         specs = [ExperimentSpec.coerce(spec) for spec in specs]
         execution = self._campaign_execution(specs)
-        tasks = [spec_to_task(spec) for spec in specs]
-        if derive_seeds:
-            tasks = [replace(task, search_seed=None) for task in tasks]
         return run_campaign(
-            tasks,
+            specs,
             cache_dir=self._effective_cache_dir(execution),
             workers=self._effective_workers(execution),
-            base_seed=base_seed,
+            base_seed=base_seed if derive_seeds else None,
             keep_details=keep_details,
             retries=execution.retries,
             task_timeout=execution.task_timeout,

@@ -14,9 +14,9 @@ Three pieces:
   :mod:`repro.core` and the experiment drivers, so every flow reads
   through the cache with bit-identical results;
 * :func:`~repro.pipeline.campaign.run_campaign` — process-pool
-  execution of benchmark x geometry x family grids with deterministic
-  per-task seeds, shared by ``repro campaign``, ``repro tables`` and
-  the table benchmarks.  Execution is *resilient*
+  execution of grids of experiment specs with deterministic per-cell
+  seeds, shared by ``repro campaign``, ``repro tables`` and the table
+  benchmarks.  Execution is *resilient*
   (:mod:`repro.pipeline.resilience`): bounded retries with backoff,
   per-task timeouts, worker-crash recovery and an ``on_error`` policy —
   all testable through the deterministic fault-injection harness in
@@ -27,8 +27,6 @@ from repro.pipeline.artifact_cache import ArtifactCache, default_cache_dir, stab
 from repro.pipeline.campaign import (
     CampaignResult,
     CampaignRow,
-    CampaignTask,
-    build_grid,
     format_campaign,
     run_campaign,
 )
@@ -61,10 +59,8 @@ __all__ = [
     "PipelineContext",
     "current_context",
     "use_context",
-    "CampaignTask",
     "CampaignRow",
     "CampaignResult",
-    "build_grid",
     "run_campaign",
     "format_campaign",
     "FAULT_KINDS",

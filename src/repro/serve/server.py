@@ -188,7 +188,10 @@ class ReproServer:
                 break
             name, _, value = line.partition(":")
             headers[name.strip().lower()] = value.strip()
-        length = int(headers.get("content-length", "0") or "0")
+        raw_length = headers.get("content-length", "0") or "0"
+        if not raw_length.isdecimal():  # non-numeric or negative
+            raise _HttpError(400, f"invalid Content-Length: {raw_length!r}")
+        length = int(raw_length)
         if length > _MAX_BODY:
             raise _HttpError(413, f"body exceeds {_MAX_BODY} bytes")
         body = await reader.readexactly(length) if length else b""

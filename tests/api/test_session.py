@@ -10,8 +10,6 @@ from repro.api import (
     SpecError,
     TraceSpec,
     expand_grid,
-    spec_to_task,
-    task_to_spec,
 )
 from repro.core.optimizer import optimize_for_trace
 
@@ -118,6 +116,13 @@ class TestBackends:
         assert default.hash_function == result.hash_function
         assert default.optimized == result.optimized
 
+    def test_campaign_cells_honour_execution_backend(self):
+        spec = tiny_spec().with_execution(backend="python")
+        result = Session(workers=1).campaign([spec], keep_details=True)
+        assert result.rows[0].result.backend == "python"
+        # The row report keeps the replayable spec only: no execution.
+        assert result.to_json()["rows"][0]["spec"]["execution"]["backend"] is None
+
     def test_backend_never_enters_the_digest(self):
         spec = tiny_spec()
         assert spec.with_execution(backend="python").digest == spec.digest
@@ -173,7 +178,7 @@ class TestCampaignAndSweep:
             }
         )
         assert len(result.rows) == 4
-        assert {row.task.family for row in result.rows} == {"1-in", "2-in"}
+        assert {row.spec.search.family for row in result.rows} == {"1-in", "2-in"}
 
     def test_campaign_rejects_disagreeing_executions(self, tmp_path):
         a = tiny_spec("qurt").with_execution(cache_dir=str(tmp_path / "a"))
@@ -195,30 +200,6 @@ class TestCampaignAndSweep:
         assert {s.trace.benchmark for s in specs} == set(
             workload_names("powerstone")
         )
-
-
-class TestTaskBridge:
-    def test_spec_task_round_trip(self):
-        spec = tiny_spec(
-            family="4-in", strategy="beam:2", restarts=2, seed=9, guard=True,
-            max_steps=5,
-        )
-        assert task_to_spec(spec_to_task(spec)) == spec
-
-    def test_task_spec_round_trip_with_seed(self):
-        task = spec_to_task(tiny_spec())
-        spec = task_to_spec(task, search_seed=17)
-        assert spec.search.seed == 17
-        assert spec_to_task(spec).search_seed == 17
-
-    def test_associativity_round_trips(self):
-        spec = ExperimentSpec(
-            trace=TraceSpec("powerstone", "qurt", scale="tiny"),
-            geometry=GeometrySpec(cache_bytes=2048, associativity=2),
-        )
-        task = spec_to_task(spec)
-        assert task.geometry.associativity == 2
-        assert task_to_spec(task) == spec
 
 
 class TestLifecycle:

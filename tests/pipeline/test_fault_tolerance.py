@@ -14,6 +14,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.api import expand_grid
 from repro.api.report import (
     campaign_from_report,
     campaign_report,
@@ -22,19 +23,21 @@ from repro.api.report import (
     specs_from_report,
 )
 from repro.cache.geometry import CacheGeometry
-from repro.pipeline import FAULTS_ENV, build_grid, run_campaign, use_faults
+from repro.pipeline import FAULTS_ENV, run_campaign, use_faults
+from repro.pipeline.campaign import fault_key
 from repro.pipeline.faults import _draw
 from repro.profiling.sharded import run_sharded_profile
 from repro.trace import Trace
 
 
 def tiny_grid():
-    return build_grid(
-        suite="powerstone",
-        benchmarks=("qurt", "fir"),
-        cache_sizes=(1024,),
-        families=("2-in",),
-        scale="tiny",
+    return expand_grid(
+        {
+            "suite": "powerstone",
+            "benchmarks": ["qurt", "fir"],
+            "cache_bytes": [1024],
+            "scale": "tiny",
+        }
     )
 
 
@@ -69,54 +72,54 @@ ALL_SITE_PLAN = ",".join(
 
 class TestCampaignBitIdentity:
     def test_serial_faults_at_every_site(self, tmp_path):
-        tasks = tiny_grid()
-        clean = run_campaign(tasks, cache_dir=tmp_path / "clean", workers=1)
+        specs = tiny_grid()
+        clean = run_campaign(specs, cache_dir=tmp_path / "clean", workers=1)
         with use_faults(ALL_SITE_PLAN):
             faulted = run_campaign(
-                tasks, cache_dir=tmp_path / "faulted", workers=1, retries=3
+                specs, cache_dir=tmp_path / "faulted", workers=1, retries=3
             )
         assert normalized_report(faulted) == normalized_report(clean)
         assert all(row.status == "ok" for row in faulted.rows)
 
     def test_parallel_worker_kills(self, tmp_path, monkeypatch):
-        tasks = tiny_grid()
-        clean = run_campaign(tasks, cache_dir=tmp_path / "clean", workers=1)
+        specs = tiny_grid()
+        clean = run_campaign(specs, cache_dir=tmp_path / "clean", workers=1)
         # Pool workers only see the plan through the environment.
         monkeypatch.setenv(FAULTS_ENV, "campaign.task:kill:p=1:count=1:seed=3")
         killed = run_campaign(
-            tasks, cache_dir=tmp_path / "killed", workers=2, retries=3
+            specs, cache_dir=tmp_path / "killed", workers=2, retries=3
         )
         assert normalized_report(killed) == normalized_report(clean)
         assert all(row.attempts >= 2 for row in killed.rows)
 
     def test_warm_replay_after_faulted_run_recomputes_nothing(self, tmp_path):
-        tasks = tiny_grid()
+        specs = tiny_grid()
         with use_faults(ALL_SITE_PLAN):
-            run_campaign(tasks, cache_dir=tmp_path, workers=1, retries=3)
-        warm = run_campaign(tasks, cache_dir=tmp_path, workers=1)
+            run_campaign(specs, cache_dir=tmp_path, workers=1, retries=3)
+        warm = run_campaign(specs, cache_dir=tmp_path, workers=1)
         totals = warm.cache_totals()
         assert totals.get("stores", 0) == 0
         assert warm.fully_cached
 
 
 class TestSkipPolicy:
-    def _split_p(self, tasks, seed):
-        """A probability that makes exactly one task fault under ``seed``."""
-        draws = sorted(_draw("campaign.task", seed, t.fault_key()) for t in tasks)
+    def _split_p(self, specs, seed):
+        """A probability that makes exactly one cell fault under ``seed``."""
+        draws = sorted(_draw("campaign.task", seed, fault_key(spec)) for spec in specs)
         assert len(draws) >= 2
         return (draws[0] + draws[1]) / 2
 
     def test_failed_rows_round_trip_through_reports(self, tmp_path):
-        tasks = tiny_grid()
-        p = self._split_p(tasks, seed=0)
-        # count=99 outlasts the budget, so exactly one task fails for good.
+        specs = tiny_grid()
+        p = self._split_p(specs, seed=0)
+        # count=99 outlasts the budget, so exactly one cell fails for good.
         with use_faults(f"campaign.task:error:p={p}:count=99:seed=0"):
             result = run_campaign(
-                tasks, cache_dir=tmp_path, workers=1, retries=1, on_error="skip"
+                specs, cache_dir=tmp_path, workers=1, retries=1, on_error="skip"
             )
         failed = [row for row in result.rows if row.status == "failed"]
         ok = [row for row in result.rows if row.status == "ok"]
-        assert len(failed) == 1 and len(ok) == len(tasks) - 1
+        assert len(failed) == 1 and len(ok) == len(specs) - 1
         assert failed[0].attempts == 2
         assert "FaultInjected" in failed[0].error
 
@@ -136,16 +139,16 @@ class TestSkipPolicy:
         assert [r.error for r in rebuilt.rows] == [r.error for r in result.rows]
         # every row — including the failed one — yields a replayable spec
         specs = specs_from_report(payload)
-        assert len(specs) == len(tasks)
+        assert len(specs) == len(specs)
 
     def test_format_campaign_marks_failures(self, tmp_path):
         from repro.pipeline import format_campaign
 
-        tasks = tiny_grid()
-        p = self._split_p(tasks, seed=0)
+        specs = tiny_grid()
+        p = self._split_p(specs, seed=0)
         with use_faults(f"campaign.task:error:p={p}:count=99:seed=0"):
             result = run_campaign(
-                tasks, cache_dir=tmp_path, workers=1, on_error="skip"
+                specs, cache_dir=tmp_path, workers=1, on_error="skip"
             )
         text = format_campaign(result)
         assert "FAILED" in text
@@ -268,22 +271,23 @@ class TestBackendDegradation:
 def test_random_fault_plans_are_bit_identical(tmp_path_factory, site, kind, p, seed, count):
     """Property: any fault plan whose counts the retry budget covers is
     invisible in the report, and the warm replay recomputes nothing."""
-    tasks = build_grid(
-        suite="powerstone",
-        benchmarks=("qurt",),
-        cache_sizes=(1024,),
-        families=("2-in",),
-        scale="tiny",
+    specs = expand_grid(
+        {
+            "suite": "powerstone",
+            "benchmarks": ["qurt"],
+            "cache_bytes": [1024],
+            "scale": "tiny",
+        }
     )
     scratch = tmp_path_factory.mktemp("fault-prop")
-    clean = run_campaign(tasks, cache_dir=scratch / "clean", workers=1)
+    clean = run_campaign(specs, cache_dir=scratch / "clean", workers=1)
     plan = f"{site}:{kind}:p={p}:count={count}:seed={seed}"
     with use_faults(plan):
         faulted = run_campaign(
-            tasks, cache_dir=scratch / "faulted", workers=1, retries=3
+            specs, cache_dir=scratch / "faulted", workers=1, retries=3
         )
     assert normalized_report(faulted) == normalized_report(clean)
-    warm = run_campaign(tasks, cache_dir=scratch / "faulted", workers=1)
+    warm = run_campaign(specs, cache_dir=scratch / "faulted", workers=1)
     assert warm.cache_totals().get("stores", 0) == 0
 
 

@@ -1,6 +1,7 @@
 """ReproServer over a real socket: protocol, dedup, cache replay."""
 
 import json
+import socket
 import threading
 
 import pytest
@@ -92,6 +93,16 @@ class TestProtocol:
         with pytest.raises(ServeError) as excinfo:
             client._request("POST", "/v1/jobs", b"")
         assert excinfo.value.status == 400
+
+    @pytest.mark.parametrize("length", ["abc", "-1"])
+    def test_bad_content_length_400(self, served, length):
+        server, _ = served
+        with socket.create_connection((server.host, server.port), timeout=30) as sock:
+            sock.sendall(
+                f"POST /v1/jobs HTTP/1.1\r\nContent-Length: {length}\r\n\r\n".encode()
+            )
+            status_line = sock.makefile("rb").readline()
+        assert status_line.split()[1] == b"400"
 
     def test_wrong_method_405(self, served):
         _, client = served
