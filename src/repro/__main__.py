@@ -422,7 +422,7 @@ def cmd_campaign(args: argparse.Namespace) -> int:
     )
     # Grid semantics: every cell derives its own deterministic seed
     # from its identity and --seed, as before the spec API existed.
-    result = session.campaign(specs, base_seed=args.seed, derive_seeds=True)
+    result = session.campaign(specs, base_seed=args.seed)
     report = result.to_json()
     if args.json == "-":
         _print_report(report)

@@ -385,20 +385,19 @@ class Session:
     def campaign(
         self,
         specs: Iterable[SpecLike],
-        base_seed: int = 0,
+        base_seed: int | None = None,
         keep_details: bool = False,
-        derive_seeds: bool = False,
     ) -> CampaignResult:
         """Run many specs through the parallel campaign runner.
 
         By default every spec runs with its own search seed, so results
         (and cached artifacts) are identical to running each spec
         through :meth:`optimize` — the campaign only changes *how* the
-        work executes, never what it computes.  With
-        ``derive_seeds=True`` each cell instead derives a distinct seed
-        from its identity and ``base_seed`` (classic grid semantics:
-        independent of worker count and scheduling, different per
-        cell); the report rows carry whichever seed actually ran.
+        work executes, never what it computes.  With an integer
+        ``base_seed`` each cell instead derives a distinct seed from its
+        identity and ``base_seed`` (classic grid semantics: independent
+        of worker count and scheduling, different per cell); the report
+        rows carry whichever seed actually ran.
         """
         specs = [ExperimentSpec.coerce(spec) for spec in specs]
         execution = self._campaign_execution(specs)
@@ -406,7 +405,7 @@ class Session:
             specs,
             cache_dir=self._effective_cache_dir(execution),
             workers=self._effective_workers(execution),
-            base_seed=base_seed if derive_seeds else None,
+            base_seed=base_seed,
             keep_details=keep_details,
             retries=execution.retries,
             task_timeout=execution.task_timeout,
@@ -416,16 +415,12 @@ class Session:
     def sweep(
         self,
         grid: Mapping[str, Any],
-        base_seed: int = 0,
+        base_seed: int | None = None,
         keep_details: bool = False,
-        derive_seeds: bool = False,
     ) -> CampaignResult:
         """Expand a grid dictionary (see :func:`expand_grid`) and run it."""
         return self.campaign(
-            expand_grid(grid),
-            base_seed=base_seed,
-            keep_details=keep_details,
-            derive_seeds=derive_seeds,
+            expand_grid(grid), base_seed=base_seed, keep_details=keep_details
         )
 
     def __repr__(self) -> str:

@@ -157,7 +157,7 @@ class TestCampaignAndSweep:
     def test_derive_seeds_gives_grid_semantics(self, tmp_path):
         specs = [tiny_spec("qurt"), tiny_spec("fir")]
         session = Session(cache_dir=tmp_path, workers=1)
-        derived = session.campaign(specs, base_seed=3, derive_seeds=True)
+        derived = session.campaign(specs, base_seed=3)
         seeds = [row.search_seed for row in derived.rows]
         assert seeds[0] != seeds[1]  # per-cell identity seeds
         # The report still replays exactly: rows carry the derived seed.

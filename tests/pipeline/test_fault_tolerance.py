@@ -138,8 +138,11 @@ class TestSkipPolicy:
         assert [r.status for r in rebuilt.rows] == [r.status for r in result.rows]
         assert [r.error for r in rebuilt.rows] == [r.error for r in result.rows]
         # every row — including the failed one — yields a replayable spec
-        specs = specs_from_report(payload)
-        assert len(specs) == len(specs)
+        replayed = specs_from_report(payload)
+        assert len(replayed) == len(specs)
+        assert [s.trace.benchmark for s in replayed] == [
+            s.trace.benchmark for s in specs
+        ]
 
     def test_format_campaign_marks_failures(self, tmp_path):
         from repro.pipeline import format_campaign
